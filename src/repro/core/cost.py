@@ -34,6 +34,10 @@ class CostModel:
     rates: Rates
     default_rate: float = 1.0
     _bvalue_cache: dict = field(default_factory=dict, repr=False)
+    # Per-query terms of Eqs 2 and 6, keyed by qid and (pattern, qid):
+    # every candidate of a pattern sums the same terms.
+    _non_shared_terms: dict = field(default_factory=dict, repr=False)
+    _shared_terms: dict = field(default_factory=dict, repr=False)
 
     def rate(self, event_type: str) -> float:
         return float(self.rates.get(event_type, self.default_rate))
@@ -49,7 +53,13 @@ class CostModel:
 
     def non_shared(self, cand: SharingCandidate) -> float:
         """Eq 3: sum of Eq 2 over the candidate's queries."""
-        return sum(self.non_shared_query(self.workload[i]) for i in cand.qids)
+        return sum(self._non_shared_term(i) for i in cand.qids)
+
+    def _non_shared_term(self, qid: int) -> float:
+        t = self._non_shared_terms.get(qid)
+        if t is None:
+            t = self._non_shared_terms[qid] = self.non_shared_query(self.workload[qid])
+        return t
 
     # -- Shared method (Section 3.3) ------------------------------------
     def comp(self, p: Pattern, q: Query) -> float:
@@ -81,9 +91,13 @@ class CostModel:
     def shared(self, cand: SharingCandidate) -> float:
         """Eq 7: shared-pattern chain once + per-query Comp/Comb."""
         once = self.rate(cand.p[0]) * self.pattern_rate(cand.p)
-        return once + sum(
-            self.shared_query(cand.p, self.workload[i]) for i in cand.qids
-        )
+        return once + sum(self._shared_term(cand.p, i) for i in cand.qids)
+
+    def _shared_term(self, p: Pattern, qid: int) -> float:
+        t = self._shared_terms.get((p, qid))
+        if t is None:
+            t = self._shared_terms[p, qid] = self.shared_query(p, self.workload[qid])
+        return t
 
     # -- Benefit (Section 3.4) ------------------------------------------
     def bvalue(self, cand: SharingCandidate) -> float:

@@ -13,21 +13,21 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cost import CostModel
-from .graph import SharonGraph, conflicts_in_query
+from .graph import SharonGraph, Spans
 from .model import SharingCandidate, Workload
 
 
 def conflict_causing_queries(
-    workload: Workload, v: SharingCandidate, u: SharingCandidate
+    workload: Workload,
+    v: SharingCandidate,
+    u: SharingCandidate,
+    spans: Spans | None = None,
 ) -> frozenset[int]:
-    """Queries in Q_v ∩ Q_u where the two patterns overlap (Def 6 "cause")."""
-    if v.p == u.p:
-        return frozenset(v.qids & u.qids)
-    return frozenset(
-        q
-        for q in v.qids & u.qids
-        if conflicts_in_query(workload[q].pattern, v.p, u.p)
-    )
+    """Queries in Q_v ∩ Q_u where the two patterns overlap (Def 6 "cause").
+
+    ``spans`` is the graph's memo of occurrence spans; without it the
+    spans are derived for this call only."""
+    return (spans or Spans(workload)).causes(v, u)
 
 
 def expand_candidate(
@@ -46,14 +46,26 @@ def expand_candidate(
     extra sharing *opportunities* — truncating them can only lower the
     achievable score, never produce an invalid plan — and BFS order
     keeps the largest query sets (highest-benefit options) first.
+    Neighbours are visited in sorted-key order, so the options kept
+    under the bound do not depend on set iteration (string hashing).
+
+    An option's queries are a subset of Q_v, so the queries causing its
+    conflict with u are those causing v's conflict with u, restricted
+    to the option: each neighbour's causes are derived once, up front.
     """
+    causes = list(
+        dict.fromkeys(
+            conflict_causing_queries(graph.workload, v, u, graph.spans)
+            for u in sorted(graph.neighbors(v), key=SharingCandidate.key)
+        )
+    )
     options: dict[frozenset[int], SharingCandidate] = {v.qids: v}
     current = [v]
     while current and len(options) < max_options:
         nxt: list[SharingCandidate] = []
         for cand in current:
-            for u in graph.neighbors(v):
-                qc = conflict_causing_queries(graph.workload, cand, u)
+            for cause in causes:
+                qc = cause & cand.qids
                 for r in range(1, len(qc) + 1):
                     for combo in combinations(sorted(qc), r):
                         qp = cand.qids - set(combo)
@@ -77,15 +89,15 @@ def expand_graph(
     graph too). The original candidates keep their recorded weights so an
     injected-weight graph (tests) stays consistent.
     """
-    expanded = SharonGraph(graph.workload)
+    chosen: dict[tuple, tuple[SharingCandidate, float]] = {}
     for v in graph.vertices:
         for opt in expand_candidate(graph, v, max_options):
-            if opt.key() in expanded.adj:
+            k = opt.key()
+            if k in chosen:
                 continue
-            if opt.key() == v.key():
-                w = graph.weight(v)
-            else:
-                w = cost.bvalue(opt)
+            w = graph.weight(v) if k == v.key() else cost.bvalue(opt)
             if w > 0:
-                expanded.add_vertex(opt, w)
+                chosen[k] = (opt, w)
+    expanded = SharonGraph(graph.workload, spans=graph.spans)
+    expanded.add_vertices(chosen.values())
     return expanded

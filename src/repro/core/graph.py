@@ -54,33 +54,127 @@ def in_conflict(
     )
 
 
+def _spans_overlap(ra, rb) -> bool:
+    return any(sa < eb and sb < ea for (sa, ea) in ra for (sb, eb) in rb)
+
+
+class Spans:
+    """Memoized occurrence spans of patterns in one workload's queries.
+
+    Each (pattern, qid) span list is derived once; the graph's conflict
+    groups and the conflict-causing queries of Section 7.1 both read it.
+    """
+
+    def __init__(self, workload: Workload) -> None:
+        self.workload = workload
+        self._memo: dict[tuple[Pattern, int], tuple[tuple[int, int], ...]] = {}
+
+    def __call__(self, p: Pattern, qid: int) -> tuple[tuple[int, int], ...]:
+        key = (p, qid)
+        spans = self._memo.get(key)
+        if spans is None:
+            spans = tuple(occurrence_ranges(self.workload[qid].pattern, p))
+            self._memo[key] = spans
+        return spans
+
+    def causes(self, a: SharingCandidate, b: SharingCandidate) -> frozenset[int]:
+        """Queries in Q_a ∩ Q_b where the two patterns overlap (a pattern
+        overlaps itself)."""
+        return frozenset(
+            q
+            for q in a.qids & b.qids
+            if a.p == b.p or _spans_overlap(self(a.p, q), self(b.p, q))
+        )
+
+
 @dataclass
 class SharonGraph:
-    """Adjacency-list Sharon graph (Definition 10)."""
+    """Adjacency-list Sharon graph (Definition 10).
+
+    Edges are derived per query rather than per vertex pair: for every
+    query the graph keeps its vertices grouped by pattern, so a new
+    vertex's neighbours are the union, over its queries, of the groups
+    whose pattern overlaps its own in that query. This is exactly Def 6
+    (``in_conflict``, kept as the reference) at a cost proportional to
+    the edges found instead of the vertices present.
+    """
 
     workload: Workload
     vertices: list[SharingCandidate] = field(default_factory=list)
     weights: dict[tuple, float] = field(default_factory=dict)
     adj: dict[tuple, set[tuple]] = field(default_factory=dict)
+    spans: Spans | None = None
+    _by_key: dict[tuple, SharingCandidate] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # qid -> pattern -> (the pattern's spans in qid, keys of the vertices
+    # with that pattern sharing qid)
+    _groups: dict[int, dict[Pattern, tuple[tuple, set[tuple]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.spans is None:
+            self.spans = Spans(self.workload)
 
     def add_vertex(self, cand: SharingCandidate, weight: float) -> None:
+        """Alg 1, Lines 4-8: add a vertex and its edges to existing ones."""
+        self.add_vertices([(cand, weight)])
+
+    def add_vertices(self, items) -> None:
+        """Add (candidate, weight) pairs and every conflict edge they are
+        part of. A vertex's neighbours are the union of its conflict
+        groups, so edges among the new vertices come out of both ends'
+        unions; only edges to vertices already present are written twice.
+        """
+        new: dict[tuple, SharingCandidate] = {}
+        for cand, weight in items:
+            k = cand.key()
+            if k in self._by_key:
+                raise ValueError(f"duplicate vertex {k}")
+            new[k] = cand
+            self._insert(cand)
+            self.weights[k] = weight
+        for k, cand in new.items():
+            nbrs = self._conflicts(cand)
+            nbrs.discard(k)
+            self.adj[k] = nbrs
+            for u in nbrs.difference(new):
+                self.adj[u].add(k)
+
+    def _conflicts(self, cand: SharingCandidate) -> set[tuple]:
+        """Keys of the vertices in conflict with ``cand`` (Def 6), its own
+        included: over its queries q, the groups whose pattern overlaps
+        its own in q."""
+        nbrs: set[tuple] = set()
+        for q in cand.qids:
+            mine = self.spans(cand.p, q)
+            for p, (theirs, keys) in self._groups[q].items():
+                if keys <= nbrs:
+                    continue  # already neighbours through another query
+                if p == cand.p or _spans_overlap(mine, theirs):
+                    nbrs |= keys
+        return nbrs
+
+    def _insert(self, cand: SharingCandidate) -> None:
+        """Add ``cand`` to the vertex list, key map and query groups."""
         k = cand.key()
-        if k in self.adj:
-            raise ValueError(f"duplicate vertex {k}")
-        # Edges to existing vertices (Alg 1, Lines 6-8).
-        self.adj[k] = set()
-        for u in self.vertices:
-            if in_conflict(self.workload, cand, u):
-                self.adj[k].add(u.key())
-                self.adj[u.key()].add(k)
         self.vertices.append(cand)
-        self.weights[k] = weight
+        self._by_key[k] = cand
+        for q in cand.qids:
+            groups = self._groups.setdefault(q, {})
+            if cand.p not in groups:
+                groups[cand.p] = (self.spans(cand.p, q), set())
+            groups[cand.p][1].add(k)
 
     def remove_vertex(self, cand: SharingCandidate) -> None:
         k = cand.key()
         for u in self.adj.pop(k):
             self.adj[u].discard(k)
         self.weights.pop(k)
+        del self._by_key[k]
+        for q in cand.qids:
+            self._groups[q][cand.p][1].discard(k)
         self.vertices = [v for v in self.vertices if v.key() != k]
 
     def weight(self, cand: SharingCandidate) -> float:
@@ -89,9 +183,11 @@ class SharonGraph:
     def degree(self, cand: SharingCandidate) -> int:
         return len(self.adj[cand.key()])
 
+    def vertex(self, key: tuple) -> SharingCandidate:
+        return self._by_key[key]
+
     def neighbors(self, cand: SharingCandidate) -> list[SharingCandidate]:
-        by_key = {v.key(): v for v in self.vertices}
-        return [by_key[k] for k in self.adj[cand.key()]]
+        return [self._by_key[k] for k in self.adj[cand.key()]]
 
     def has_edge(self, a: SharingCandidate, b: SharingCandidate) -> bool:
         return b.key() in self.adj[a.key()]
@@ -104,8 +200,9 @@ class SharonGraph:
         return sum(self.weights.values())
 
     def copy(self) -> "SharonGraph":
-        g = SharonGraph(self.workload)
-        g.vertices = list(self.vertices)
+        g = SharonGraph(self.workload, spans=self.spans)
+        for v in self.vertices:
+            g._insert(v)
         g.weights = dict(self.weights)
         g.adj = {k: set(s) for k, s in self.adj.items()}
         return g
@@ -132,7 +229,7 @@ def build_graph(
     """
     if cost is None and weights is None:
         raise ValueError("need a cost model or explicit weights")
-    g = SharonGraph(workload)
+    chosen = []
     # Sorted iteration keeps construction deterministic across runs.
     for p in sorted(sharables):
         qids = sharables[p]
@@ -142,5 +239,7 @@ def build_graph(
         w = weights.get(p) if weights is not None else cost.bvalue(cand)
         if w is None or w <= 0:
             continue
-        g.add_vertex(cand, float(w))
+        chosen.append((cand, float(w)))
+    g = SharonGraph(workload)
+    g.add_vertices(chosen)
     return g

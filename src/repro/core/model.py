@@ -95,6 +95,20 @@ class Workload:
     def event_types(self) -> set[str]:
         return {t for q in self.queries for t in q.pattern}
 
+    def window(self) -> tuple[int, int]:
+        """The (within, slide) every query shares (paper assumption 2).
+
+        Engines explode the stream into windows once per workload, so a
+        workload whose queries disagree is rejected here rather than
+        evaluated with the first query's windows."""
+        params = {(q.within, q.slide) for q in self.queries}
+        if len(params) != 1:
+            raise ValueError(
+                "queries of a workload must share one WITHIN/SLIDE pair, "
+                f"got {sorted(params)}"
+            )
+        return params.pop()
+
 
 @dataclass(frozen=True)
 class SharingCandidate:
@@ -102,20 +116,14 @@ class SharingCandidate:
 
     p: Pattern
     qids: frozenset[int]
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.p) < 2:
             raise ValueError("sharable patterns have length > 1 (Def 3)")
         if len(self.qids) < 2:
             raise ValueError("sharing candidates need |Q_p| > 1 (Def 3)")
+        object.__setattr__(self, "_key", (self.p, tuple(sorted(self.qids))))
 
     def key(self) -> tuple:
-        return (self.p, tuple(sorted(self.qids)))
-
-
-SharingPlan = frozenset[SharingCandidate]
-
-
-def plan_score(plan: Sequence[SharingCandidate], bvalue) -> float:
-    """Score of a sharing plan: sum of candidate benefits (Definition 8)."""
-    return sum(bvalue(c) for c in plan)
+        return self._key

@@ -12,7 +12,7 @@ search-space percentages of Examples 9-10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .graph import SharonGraph
 from .model import SharingCandidate
@@ -37,6 +37,21 @@ def _score(graph: SharonGraph, plan: PlanKey) -> float:
     return sum(graph.weights[k] for k in plan)
 
 
+def _next_level(adj, parents: list[tuple]) -> list[tuple]:
+    """Algorithm 3 over any sortable vertex ids with adjacency ``adj``.
+
+    Parents are sorted, so those sharing their first s-1 candidates are
+    contiguous; each such run is joined pairwise, in order."""
+    children: list[tuple] = []
+    for _, run in groupby(parents, key=lambda p: p[:-1]):
+        run = list(run)
+        lasts = [p[-1] for p in run]
+        for i, p in enumerate(run):
+            blocked = adj[lasts[i]]
+            children.extend([p + (b,) for b in lasts[i + 1 :] if b not in blocked])
+    return children
+
+
 def get_next_level(
     graph: SharonGraph, parents: list[PlanKey]
 ) -> list[PlanKey]:
@@ -46,19 +61,7 @@ def get_next_level(
     parents sharing the first s-1 candidates; the child is valid iff the
     two differing last candidates are non-adjacent (Lemma 6).
     """
-    children: list[PlanKey] = []
-    s = len(parents[0]) if parents else 0
-    for i in range(len(parents)):
-        pi = parents[i]
-        for j in range(i + 1, len(parents)):
-            pj = parents[j]
-            if pi[: s - 1] != pj[: s - 1]:
-                # Parents are sorted; once prefixes diverge no later j matches.
-                break
-            a, b = pi[s - 1], pj[s - 1]
-            if b not in graph.adj[a]:
-                children.append(pi + (b,))
-    return children
+    return _next_level(graph.adj, parents)
 
 
 def find_optimal_plan(
@@ -70,29 +73,40 @@ def find_optimal_plan(
     branches at their roots. Returns (optimal plan with the conflict-free
     candidates F appended, best score over the *reduced* space — callers
     holding the original graph add F's weights to get the full score)."""
-    conflict_free = conflict_free or []
-    by_key = {v.key(): v for v in graph.vertices}
-    opt: PlanKey = ()
+    plan, best = _search(graph, sorted(graph.adj), stats)
+    return plan + list(conflict_free or []), best
+
+
+def _search(
+    graph: SharonGraph, keys: list[tuple], stats: PlanSearchStats | None
+) -> tuple[list[SharingCandidate], float]:
+    """Algorithm 4 over the vertices ``keys`` (sorted, closed under
+    adjacency). The search runs on each vertex's rank in ``keys``: rank
+    order is key order, so levels, traversal and tie-breaks are those of
+    the key tuples, at the cost of comparing integers."""
+    rank = {k: i for i, k in enumerate(keys)}
+    weights = [graph.weights[k] for k in keys]
+    adj = [{rank[u] for u in graph.adj[k]} for k in keys]
+    opt: tuple[int, ...] = ()
     best = 0.0
-    level: list[PlanKey] = sorted((v.key(),) for v in graph.vertices)
+    level: list[tuple[int, ...]] = [(i,) for i in range(len(keys))]
     while level:
         if stats is not None:
             stats.plans_per_level.append(len(level))
             stats.peak_level_plans = max(stats.peak_level_plans, len(level))
         for plan in level:
-            sc = _score(graph, plan)
+            sc = sum(map(weights.__getitem__, plan))
             if sc > best:
                 opt, best = plan, sc
-        level = sorted(get_next_level(graph, level))
-    plan = [by_key[k] for k in opt] + list(conflict_free)
-    return plan, best
+        level = sorted(_next_level(adj, level))
+    return [graph.vertex(keys[i]) for i in opt], best
 
 
-def _components(graph: SharonGraph) -> list[list]:
-    """Connected components of the graph's vertices (by conflict edges)."""
+def _components(graph: SharonGraph) -> list[list[tuple]]:
+    """Keys of each connected component (by conflict edges), components
+    ordered by their first vertex."""
     seen: set[tuple] = set()
-    comps: list[list] = []
-    by_key = {v.key(): v for v in graph.vertices}
+    comps: list[list[tuple]] = []
     for v in graph.vertices:
         if v.key() in seen:
             continue
@@ -100,7 +114,7 @@ def _components(graph: SharonGraph) -> list[list]:
         seen.add(v.key())
         while stack:
             k = stack.pop()
-            comp.append(by_key[k])
+            comp.append(k)
             for u in graph.adj[k]:
                 if u not in seen:
                     seen.add(u)
@@ -124,12 +138,7 @@ def find_optimal_plan_decomposed(
     plan: list[SharingCandidate] = list(conflict_free or [])
     score = 0.0
     for comp in _components(graph):
-        sub = SharonGraph(graph.workload)
-        keys = {v.key() for v in comp}
-        sub.vertices = list(comp)
-        sub.weights = {k: graph.weights[k] for k in keys}
-        sub.adj = {k: set(graph.adj[k]) & keys for k in keys}
-        sub_plan, sub_score = find_optimal_plan(sub, stats=stats)
+        sub_plan, sub_score = _search(graph, sorted(comp), stats)
         plan.extend(sub_plan)
         score += sub_score
     return plan, score
@@ -152,8 +161,7 @@ def exhaustive_optimal_plan(
     """The naive finder: enumerate all 2^|V| candidate subsets, keep the
     best valid one. Exponential with no pruning — the Exhaustive
     Optimizer baseline of Section 8.3."""
-    by_key = {v.key(): v for v in graph.vertices}
-    keys = sorted(by_key)
+    keys = sorted(graph.adj)
     opt: tuple = ()
     best = 0.0
     n_seen = 0
@@ -172,4 +180,4 @@ def exhaustive_optimal_plan(
         if stats is not None:
             stats.plans_per_level.append(level_count)
             stats.peak_level_plans = max(stats.peak_level_plans, level_count)
-    return [by_key[k] for k in opt], best
+    return [graph.vertex(k) for k in opt], best

@@ -17,19 +17,20 @@ from .graph import SharonGraph
 from .model import SharingCandidate
 
 
-def score_max(graph: SharonGraph, v: SharingCandidate, extra: float = 0.0) -> float:
+def score_max(
+    graph: SharonGraph,
+    v: SharingCandidate,
+    extra: float = 0.0,
+    total: float | None = None,
+) -> float:
     """Def 12: best score of a plan containing v = weights of all
     candidates not in conflict with v (v itself included) + ``extra``
-    for candidates already guaranteed in the plan."""
-    vk = v.key()
-    blocked = graph.adj[vk]
-    # Total-minus-neighbors form: O(degree) instead of O(|V|), which
-    # keeps Alg 2's sweep quadratic rather than cubic on big graphs.
-    return (
-        extra
-        + sum(graph.weights.values())
-        - sum(graph.weights[k] for k in blocked)
-    )
+    for candidates already guaranteed in the plan. ``total`` is
+    ``sum(graph.weights.values())`` when the caller already has it."""
+    if total is None:
+        total = sum(graph.weights.values())
+    # Total-minus-neighbors form: O(degree) instead of O(|V|).
+    return extra + total - sum(map(graph.weights.__getitem__, graph.adj[v.key()]))
 
 
 @dataclass
@@ -46,6 +47,9 @@ def reduce_graph(graph: SharonGraph, min_weight: float) -> ReductionResult:
     free: list[SharingCandidate] = []
     pruned: list[SharingCandidate] = []
     free_weight = 0.0
+    # sum(g.weights.values()), summed afresh (same order, same bits)
+    # only after a removal; None while stale.
+    total = None
     changed = True
     while changed:
         changed = False
@@ -53,10 +57,13 @@ def reduce_graph(graph: SharonGraph, min_weight: float) -> ReductionResult:
             if g.degree(v) == 0:
                 free.append(v)
                 free_weight += g.weight(v)
-                g.remove_vertex(v)
-                changed = True
-            elif score_max(g, v, extra=free_weight) < min_weight:
+            else:
+                if total is None:
+                    total = sum(g.weights.values())
+                if score_max(g, v, free_weight, total) >= min_weight:
+                    continue
                 pruned.append(v)
-                g.remove_vertex(v)
-                changed = True
+            g.remove_vertex(v)
+            total = None
+            changed = True
     return ReductionResult(graph=g, conflict_free=free, pruned=pruned)

@@ -52,8 +52,8 @@ def run_query_sql(events: DataFrame, query: Query) -> DataFrame:
 def run_aseq_sql(events: DataFrame, workload: Workload) -> DataFrame:
     """Whole workload, each query independent; rows (qid, wid, key, cnt)."""
     out = None
-    q0 = workload[0]
-    exploded = explode_windows(events, within=q0.within, slide=q0.slide)
+    within, slide = workload.window()
+    exploded = explode_windows(events, within=within, slide=slide)
     for q in workload:
         res = chain_counts_sql(exploded, q.pattern).select(
             F.lit(q.qid).alias("qid"), "wid", "key", "cnt"

@@ -86,8 +86,8 @@ def run_plan(
     All queries share (within, slide) — the paper's assumption 2 — so
     the window explosion happens once for the workload.
     """
-    q0 = workload[0]
-    exploded = explode_windows(events, within=q0.within, slide=q0.slide)
+    within, slide = workload.window()
+    exploded = explode_windows(events, within=within, slide=slide)
     spec = compile_plan(workload, plan)
     return (
         exploded.groupBy("wid", "key")
@@ -108,10 +108,8 @@ def run_plan_pandas(
     """
     from .windows import explode_windows_pandas
 
-    q0 = workload[0]
-    exploded = explode_windows_pandas(
-        events, within=q0.within, slide=q0.slide
-    )
+    within, slide = workload.window()
+    exploded = explode_windows_pandas(events, within=within, slide=slide)
     spec = compile_plan(workload, plan)
     compiled = {
         qid: [Segment(p, shared) for p, shared in seg_spec]

@@ -59,6 +59,7 @@ class MicroBatchExecutor:
 
     def __init__(self, workload: Workload):
         self.workload = workload
+        self.within, self.slide = workload.window()
         self.states: dict[tuple[int, int, int], ChainState] = {}
         self._last_time = -1
 
@@ -73,9 +74,8 @@ class MicroBatchExecutor:
                 "(ties must stay within one batch for strict-time semantics)"
             )
         self._last_time = int(batch["time"].max())
-        q0 = self.workload[0]
         exploded = explode_windows_pandas(
-            batch, within=q0.within, slide=q0.slide
+            batch, within=self.within, slide=self.slide
         )
         for (wid, key), g in exploded.groupby(["wid", "key"], sort=False):
             times = g["time"].to_numpy(np.int64)

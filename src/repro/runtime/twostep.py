@@ -13,20 +13,12 @@ sequences first, aggregate afterwards.
   (start, end) times with a multiplicity count; mid events are
   aggregated away during construction, which is the endpoint
   compression SPASS's interval representation affords.
-
-- :func:`estimated_sequences`: expected sequence count per window under
-  uniform rates — used to mark DNF configurations before launching a
-  join that provably cannot finish (the paper reports Flink/SPASS
-  failing beyond 6k/7k events per window).
 """
 from __future__ import annotations
-
-import math
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.cost import CostModel
 from ..core.model import SharingCandidate, Workload
 from .kernels import compile_segments
 from .windows import explode_windows
@@ -51,8 +43,8 @@ def construct_sequences(exploded: DataFrame, pattern: tuple[str, ...]) -> DataFr
 
 def flink_like(events: DataFrame, workload: Workload) -> DataFrame:
     """Non-shared two-step: construct-then-count per query."""
-    q0 = workload[0]
-    exploded = explode_windows(events, within=q0.within, slide=q0.slide)
+    within, slide = workload.window()
+    exploded = explode_windows(events, within=within, slide=slide)
     out = None
     for q in workload:
         cnt = (
@@ -115,8 +107,8 @@ def spass_like(
     """Shared two-step: shared patterns' match relations are built once
     (cached) and reused; per query the prefix/suffix relations are built
     privately and joined in temporal order, then counted."""
-    q0 = workload[0]
-    exploded = explode_windows(events, within=q0.within, slide=q0.slide)
+    within, slide = workload.window()
+    exploded = explode_windows(events, within=within, slide=slide)
     shared_of: dict[int, list[tuple[str, ...]]] = {q.qid: [] for q in workload}
     cache: dict[tuple[str, ...], DataFrame] = {}
     for cand in plan:
@@ -142,15 +134,3 @@ def spass_like(
         )
         out = cnt if out is None else out.unionByName(cnt)
     return out
-
-
-def estimated_sequences(workload: Workload, cost: CostModel) -> float:
-    """Expected constructed sequences per window across the workload
-    (uniform-rate estimate: prod rates / l! orderings) — the DNF guard."""
-    total = 0.0
-    for q in workload:
-        prod = 1.0
-        for t in q.pattern:
-            prod *= cost.rate(t)
-        total += prod / math.factorial(len(q.pattern))
-    return total

@@ -72,12 +72,10 @@ def random_graph(n, p_edge, seed):
     g = SharonGraph(wl)
     cands = []
     for i in range(n):
+        # The patterns occur in no query, so add_vertex derives no edges.
         cand = SharingCandidate((f"T{i:03d}", f"U{i:03d}"), frozenset({0, 1}))
         cands.append(cand)
-        k = cand.key()
-        g.adj[k] = set()
-        g.vertices.append(cand)
-        g.weights[k] = rng.randint(1, 30)
+        g.add_vertex(cand, rng.randint(1, 30))
     for a, b in itertools.combinations(cands, 2):
         if rng.random() < p_edge:
             g.adj[a.key()].add(b.key())
