@@ -3,8 +3,9 @@
 Four engines over one event stream, all producing per-(window, key,
 query) COUNT(*) of matched event sequences:
 
-- ``aseq``      — A-Seq: online, non-shared (chain kernel per query).
-- ``sharon``    — Sharon executor: online, shared per a sharing plan.
+- ``sharon``    — Sharon executor: online, shared per a sharing plan;
+                  with an empty plan (``plan=None``) it is A-Seq, the
+                  online non-shared method (chain kernel per query).
 - ``twostep``   — Flink-like (non-shared) and SPASS-like (shared
                   construction) two-step baselines, pure Spark SQL joins.
 - ``aseq_sql``  — A-Seq expressed as chained Catalyst window functions

@@ -11,6 +11,8 @@ rates (Eqs 2 and 7), not to partition size:
   A-Seq's recurrence ``count_j(t) = sum over events e<=t of type E_j of
   count_{j-1}(e-)`` — ``l`` masked strict-time cumulative sums
   (Example 1). Cost ``O(Rate(P))`` per query: the paper's Eq 2 shape.
+  The micro-batch driver's ``streaming.ChainState`` steps the same
+  recurrence across chunks through :func:`_carry_strict`.
 - :func:`c_matrix` is the Shared method's per-START-event count table:
   ``C[s, e]`` = number of p-sequences starting at START event ``s`` and
   ending at END event ``e`` (the ``count(c3, D)``/``count(c7, D)`` rows
@@ -23,28 +25,16 @@ rates (Eqs 2 and 7), not to partition size:
   — the bilinear combination whose per-query cost Eq 5 models.
 
 Counts are float64: sequence counts are combinatorial and float64 sums
-of products stay exact below 2^53. Timestamps may tie; sequence
-semantics require *strictly* increasing time, which every helper
-enforces by value (``searchsorted`` on times), never by row position.
+of products stay exact below 2^53; ``sharon.eval_partition`` raises
+once a count gets there. Timestamps may tie; sequence semantics require
+*strictly* increasing time, which every helper enforces by value
+(``searchsorted`` on times), never by row position.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def strict_prev_cumsum(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """out[i] = sum of vals[j] over events with times[j] < times[i].
-
-    ``times`` must be sorted ascending (ties allowed).
-    """
-    cs = np.cumsum(vals)
-    idx = np.searchsorted(times, times, side="left")
-    out = np.zeros(len(vals), dtype=np.float64)
-    nz = idx > 0
-    out[nz] = cs[idx[nz] - 1]
-    return out
 
 
 def _carry_strict(
@@ -237,17 +227,21 @@ def _carry_strict_after(
 
 def _sparse_reverse_chain(
     index: TypeIndex, pattern: tuple[str, ...]
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """n_p(s): number of p-sequences *starting* at each START event of p
     (Figure 7's per-START-event counts), via a backward chain — cost
-    O(Rate(p)), no per-end breakdown."""
+    O(Rate(p)), no per-end breakdown. Also returns the largest level
+    total: each level is a total minus prefix sums, so n_p is exact only
+    while every level total stays below 2^53."""
     t_next = index.times_of(pattern[-1])
     v_next = np.ones(len(t_next), dtype=np.float64)
+    peak = float(len(t_next))
     for ty in reversed(pattern[:-1]):
         t_cur = index.times_of(ty)
         v_next = _carry_strict_after(t_next, v_next, t_cur)
         t_next = t_cur
-    return v_next
+        peak = max(peak, float(v_next.sum()))
+    return v_next, peak
 
 
 class SharedCache:
@@ -265,6 +259,9 @@ class SharedCache:
     - ``get`` (C-matrix): full per-(START, END) table — needed when p
       sits mid-query, the case whose combination cost the paper models
       as the three-factor product. O(Rate(Em) x Rate(p)).
+
+    ``reverse_total`` is the largest level total of any reverse chain
+    built so far (see :func:`_sparse_reverse_chain`).
     """
 
     def __init__(self, times: np.ndarray, types: np.ndarray):
@@ -274,6 +271,7 @@ class SharedCache:
         self._rev: dict[tuple[str, ...], np.ndarray] = {}
         self.builds = 0
         self.state_bytes = 0
+        self.reverse_total = 0.0
 
     def get(self, pattern: tuple[str, ...]):
         if pattern not in self._c:
@@ -293,8 +291,9 @@ class SharedCache:
 
     def get_reverse(self, pattern: tuple[str, ...]) -> np.ndarray:
         if pattern not in self._rev:
-            v = _sparse_reverse_chain(self.index, pattern)
+            v, total = _sparse_reverse_chain(self.index, pattern)
             self._rev[pattern] = v
+            self.reverse_total = max(self.reverse_total, total)
             self.builds += 1
             self.state_bytes += v.nbytes
         return self._rev[pattern]

@@ -12,9 +12,6 @@ paper's own data structures:
   once (``starts(Em) * length(p)``); each query adds its prefix/suffix
   chains plus one combination count per START event pair boundary
   (Section 3.3).
-- Two-step engines additionally store every constructed event sequence
-  (``n_sequences * length`` event references) — the term that dominates
-  and explains Fig 13/14's two-orders-of-magnitude memory gaps.
 
 ``kernel state bytes`` reported by the executors (C-matrix + completion
 vectors actually allocated) are returned alongside for transparency.
@@ -23,6 +20,7 @@ from __future__ import annotations
 
 from ..core.cost import CostModel
 from ..core.model import SharingCandidate, Workload
+from .kernels import compile_segments
 
 _AGG_BYTES = 8  # one float64 count
 
@@ -49,30 +47,11 @@ def sharon_aggregates(
         if not shared_of[q.qid]:
             total += cost.rate(q.pattern[0]) * len(q.pattern)
             continue
-        from .kernels import compile_segments
-
         for seg in compile_segments(q.pattern, shared_of[q.qid]):
             if seg.shared:
                 total += cost.rate(seg.pattern[0])  # combination counts
             else:
                 total += cost.rate(seg.pattern[0]) * len(seg.pattern)
-    return total
-
-
-def twostep_sequences(workload: Workload, cost: CostModel) -> float:
-    """Modeled stored-sequence volume for a two-step engine: expected
-    number of constructed sequences per query per window, times pattern
-    length (each stored sequence keeps one ref per event). Uniform-rate
-    estimate: prod(Rate(Ej)) / l! ordering factor."""
-    import math
-
-    total = 0.0
-    for q in workload:
-        seqs = 1.0
-        for t in q.pattern:
-            seqs *= cost.rate(t)
-        seqs /= math.factorial(len(q.pattern))
-        total += seqs * len(q.pattern)
     return total
 
 

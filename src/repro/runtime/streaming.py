@@ -5,9 +5,13 @@ and is discarded. This module proves that property for the reproduction:
 the stream is consumed in time-ordered chunks and, per ``(window, key,
 query)``, only A-Seq's ``l`` running prefix counts (Figure 6) are
 carried between chunks — chunked results are bit-identical to one-shot
-evaluation (tested). Windows close once the stream time passes their
-end, emitting final counts incrementally, which is the foreachBatch
-semantics a Structured Streaming deployment would use.
+evaluation (tested). Each chunk steps the counts with the kernels'
+sparse chain recurrence, over one ``kernels.TypeIndex`` per
+``(window, key)`` group that every query shares.
+
+Windows never close here: every state is kept until the end of the
+stream and the counts come out only at :meth:`MicroBatchExecutor.results`.
+Watermark-driven close, emit and evict is not implemented.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.model import Workload
-from .kernels import strict_prev_cumsum
+from . import kernels
 from .windows import explode_windows_pandas
 
 
@@ -34,17 +38,20 @@ class ChainState:
         if self.carry is None:
             self.carry = np.zeros(len(self.pattern), dtype=np.float64)
 
-    def update(self, times: np.ndarray, types: np.ndarray) -> None:
-        """Fold one chunk (all strictly later than prior chunks) into the
-        carry. Level j's within-chunk values see the pre-chunk carry of
-        level j-1 plus the intra-chunk strictly-earlier sums."""
-        vals = np.where(types == self.pattern[0], 1.0, 0.0)
+    def update(self, index: kernels.TypeIndex) -> None:
+        """Fold one chunk's events of a (wid, key) group (all strictly
+        later than prior chunks) into the carry. Level j's within-chunk
+        values see the pre-chunk carry of level j-1 plus the intra-chunk
+        strictly-earlier sums."""
+        t_prev = index.times_of(self.pattern[0])
+        v_prev = np.ones(len(t_prev), dtype=np.float64)
         new_carry = self.carry.copy()
-        new_carry[0] += vals.sum()
-        for j in range(1, len(self.pattern)):
-            prev = self.carry[j - 1] + strict_prev_cumsum(times, vals)
-            vals = np.where(types == self.pattern[j], prev, 0.0)
-            new_carry[j] += vals.sum()
+        new_carry[0] += len(t_prev)
+        for j, ty in enumerate(self.pattern[1:], start=1):
+            t_cur = index.times_of(ty)
+            v_prev = self.carry[j - 1] + kernels._carry_strict(t_prev, v_prev, t_cur)
+            t_prev = t_cur
+            new_carry[j] += v_prev.sum()
         self.carry = new_carry
 
     @property
@@ -78,13 +85,14 @@ class MicroBatchExecutor:
             batch, within=self.within, slide=self.slide
         )
         for (wid, key), g in exploded.groupby(["wid", "key"], sort=False):
-            times = g["time"].to_numpy(np.int64)
-            types = g["type"].to_numpy(dtype="U")
+            index = kernels.TypeIndex(
+                g["time"].to_numpy(np.int64), g["type"].to_numpy(dtype="U")
+            )
             for q in self.workload:
                 k = (int(wid), int(key), q.qid)
                 if k not in self.states:
                     self.states[k] = ChainState(q.pattern)
-                self.states[k].update(times, types)
+                self.states[k].update(index)
 
     def results(self) -> pd.DataFrame:
         rows = [

@@ -10,7 +10,6 @@ from repro.core.model import Workload
 from repro.core.optimizer import greedy_optimizer, sharon_optimizer
 from repro.oracle import assert_equivalent
 from repro.oracle_sql import seq_count_sql, workload_count_sql
-from repro.runtime.aseq import run_aseq
 from repro.runtime.aseq_sql import run_aseq_sql, run_query_sql
 from repro.runtime.sharon import per_window_counts, run_plan, run_plan_pandas
 from repro.runtime.twostep import flink_like, spass_like
@@ -57,7 +56,7 @@ def _wl_sql(wl: Workload) -> str:
 class TestASeqEngine:
     def test_against_oracle(self, traffic, traffic_spark, traffic_exploded):
         wl, _ = traffic
-        got = run_aseq(traffic_spark, wl).select("qid", "wid", "key", "cnt")
+        got = run_plan(traffic_spark, wl, None).select("qid", "wid", "key", "cnt")
         assert_equivalent(got, _wl_sql(wl), ev=traffic_exploded)
 
     def test_single_query_catalyst_chain(

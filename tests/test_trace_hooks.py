@@ -2,7 +2,7 @@
 swapping module and class attributes by name. A renamed or inlined
 function would break ``perfbench/run.py --trace 1``, so every name it
 swaps must exist on its owner, and the optimizer must still reach its
-phases through those names."""
+phases and the executors their layers through those names."""
 import sys
 from pathlib import Path
 
@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import optimizer
 from repro.core.cost import CostModel, uniform_rates
-from repro.runtime import kernels, sharon
+from repro.runtime import kernels, sharon, streaming
+from repro.synth_data import event_stream
 from repro.workloads import traffic_workload
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -72,3 +73,57 @@ def test_traced_sharon_optimizer_reports_its_phases(layers):
     assert counts["expand.options"] >= counts["graph.vertices"]
     assert counts["planner.plans_traversed"] > 0
     assert res.score > 0
+
+
+@pytest.fixture(scope="module")
+def traffic_run():
+    wl = traffic_workload(within=120, slide=60)
+    pdf = event_stream(
+        n_events=300, types=sorted(wl.event_types), n_keys=2, duration=600, seed=3
+    )
+    cost = CostModel(wl, uniform_rates(wl.event_types, 2.0))
+    plan = optimizer.sharon_optimizer(wl, cost, decompose=True).plan
+    assert plan
+    return wl, pdf, plan
+
+
+def traced(layers, fn):
+    """Run ``fn`` as one traced operation; return its span self times
+    and counts."""
+    from spans import Tracer
+
+    t = Tracer()
+    with layers.installed(t):
+        t.begin_op("op")
+        fn()
+        _, spans, counts = t.end_op()
+    return spans, counts
+
+
+def test_traced_sharon_twin_reports_its_layers(layers, traffic_run):
+    wl, pdf, plan = traffic_run
+    spans, counts = traced(layers, lambda: sharon.run_plan_pandas(pdf, wl, plan))
+    for name in (
+        "sharon.group",
+        "windows.explode",
+        "sharon.compile",
+        "kernels.type_index",
+        "kernels.eval_query",
+    ):
+        assert name in spans
+    assert counts["kernels.eval_query_calls"] > 0
+    assert counts["kernels.shared_lookups"] > 0
+
+
+def test_traced_micro_batch_reports_its_layers(layers, traffic_run):
+    wl, pdf, _ = traffic_run
+    ex = streaming.MicroBatchExecutor(wl)
+    spans, counts = traced(layers, lambda: ex.process_batch(pdf))
+    for name in (
+        "streaming.group",
+        "streaming.explode",
+        "kernels.type_index",
+        "streaming.chain_update",
+    ):
+        assert name in spans
+    assert counts["streaming.chain_updates"] == len(ex.states)

@@ -110,7 +110,7 @@ class TestRepeatedTypes:
         )
 
     def test_streaming_with_repeated_types(self):
-        from repro.runtime.aseq import run_aseq_pandas
+        from repro.runtime.sharon import run_plan_pandas
         from repro.runtime.streaming import MicroBatchExecutor, time_chunks
 
         wl = Workload.from_patterns([("A", "A", "B")], within=100, slide=50)
@@ -120,7 +120,7 @@ class TestRepeatedTypes:
         ex = MicroBatchExecutor(wl)
         for chunk in time_chunks(pdf, 4):
             ex.process_batch(chunk)
-        want, _ = run_aseq_pandas(pdf, wl)
+        want, _ = run_plan_pandas(pdf, wl, None)
         got = ex.results()
         pd.testing.assert_frame_equal(
             got.sort_values(["wid", "key"]).reset_index(drop=True)[

@@ -124,12 +124,5 @@ class TestMemoryModel:
             wl, cost
         )
 
-    def test_twostep_dominates_online_memory(self):
-        wl = shared_core_workload(n_queries=10, pattern_len=6)
-        cost = CostModel(wl, uniform_rates(wl.event_types, 20.0))
-        assert metrics.twostep_sequences(wl, cost) > metrics.aseq_aggregates(
-            wl, cost
-        )
-
     def test_aggregates_to_bytes(self):
         assert metrics.aggregates_to_bytes(10) == 80
